@@ -31,19 +31,14 @@ machine-checked properties that run without executing anything:
   order over unordered collections (``S001``–``S006``);
 * :mod:`~repro.analysis.schedule_lint` — happens-before schedule-race
   detection over instrumented event-loop runs, including dual replay
-  under a reversed insertion tie-break (``H001``–``H005``);
-* :mod:`~repro.analysis.plan_validator` — static verification of
-  compiled execution plans: buffer lifetimes, fusion legality, memo
-  soundness, budgets, liveness, ordering, barriers and translation
-  validation against the interpreted loop (``E001``–``E008``).
+  under a reversed insertion tie-break (``H001``–``H005``).
 
 ``check_all_builtin_programs`` sweeps every program, schedule and
 container the repo constructs; ``check_all_builtin_deployments`` sweeps
 every deployment artifact and translation-validates the planner;
 ``check_source`` lints the source tree; ``check_builtin_schedules``
-replays every builtin scenario both ways; ``check_builtin_plans``
-audits every builtin compiled plan.  Every module registers its rules
-into the shared :data:`~repro.analysis.findings.FAMILIES` /
+replays every builtin scenario both ways.  Every module registers its
+rules into the shared :data:`~repro.analysis.findings.FAMILIES` /
 :data:`~repro.analysis.findings.RULES` tables at import
 (``repro lint --list-rules`` prints the combined catalogue).  See
 docs/ANALYSIS.md for the rule catalogue with minimal failing examples.
@@ -96,11 +91,6 @@ from .integrity_lint import (
     lint_integrity_policy,
 )
 from .pipeline_lint import lint_pipeline_trace
-from .plan_validator import (
-    check_builtin_plans,
-    lint_execution_plan,
-    translation_validate,
-)
 from .plan_lint import (
     builtin_deployment_specs,
     builtin_runtime_traces,
@@ -157,7 +147,6 @@ __all__ = [
     "check_builtin_fault_artifacts",
     "check_builtin_fleet_artifacts",
     "check_builtin_integrity_artifacts",
-    "check_builtin_plans",
     "check_builtin_schedules",
     "check_builtin_server_artifacts",
     "check_source",
@@ -174,7 +163,6 @@ __all__ = [
     "lint_deployment",
     "lint_deployment_plan",
     "lint_disaggregated",
-    "lint_execution_plan",
     "lint_fault_outcome",
     "lint_fleet_outcome",
     "lint_fleet_spec",
@@ -202,5 +190,4 @@ __all__ = [
     "spec_kv_bytes_per_token",
     "spec_memory",
     "static_cycle_lower_bound",
-    "translation_validate",
 ]

@@ -20,9 +20,7 @@ Subcommands mirror the library's main entry points::
     repro lint --server             # server admission/session checks (Q*)
     repro lint --source             # determinism lint of repo source (S*)
     repro lint --schedule           # schedule-race dual replay (H* rules)
-    repro lint --plans              # compiled-plan validation (E* rules)
     repro lint --list-rules         # combined rule catalogue
-    repro plan --scenario disagg-plain --execute   # compile + replay
     repro models                    # list the model zoo
 
 Everything prints rendered text tables; ``bench`` additionally writes
@@ -724,7 +722,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         check_builtin_fault_artifacts,
         check_builtin_fleet_artifacts,
         check_builtin_integrity_artifacts,
-        check_builtin_plans,
         check_builtin_schedules,
         check_builtin_server_artifacts,
         check_source,
@@ -754,14 +751,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # conservation), --server sweeps admission policies / session teardown /
     # token-stream ordering, --source lints this repo's own Python for determinism
     # hazards, --schedule dual-replays every builtin scenario and audits
-    # its happens-before schedule log, --plans compiles every builtin
-    # scenario and statically validates + translation-validates the
-    # resulting execution plans, --integrity sweeps integrity policies
-    # and SDC-run ledger audits.  With no flag every sweep runs.
+    # its happens-before schedule log, --integrity sweeps integrity
+    # policies and SDC-run ledger audits.  With no flag every sweep runs.
     any_flag = (
         args.all_builtin or args.deployment or args.faults
         or args.fleet or args.server or args.source or args.schedule
-        or args.plans or args.integrity
+        or args.integrity
     )
     run_programs = args.all_builtin or not any_flag
     run_deployments = args.deployment or not any_flag
@@ -770,7 +765,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     run_server = args.server or not any_flag
     run_source = args.source or not any_flag
     run_schedule = args.schedule or not any_flag
-    run_plans = args.plans or not any_flag
     run_integrity = args.integrity or not any_flag
     report = Report()
     for enabled, sweep in (
@@ -781,7 +775,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         (run_server, check_builtin_server_artifacts),
         (run_source, check_source),
         (run_schedule, check_builtin_schedules),
-        (run_plans, check_builtin_plans),
         (run_integrity, check_builtin_integrity_artifacts),
     ):
         if enabled:
@@ -794,54 +787,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if not report.ok:
         print(f"lint FAILED: {len(report.errors)} error finding(s)",
               file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    from .analysis import lint_execution_plan, translation_validate
-    from .analysis.schedule_lint import builtin_schedule_scenarios
-    from .plan import builtin_plan_configs, compile_scenario
-    from .runtime.plan_driver import PlanDriver
-
-    scenarios = builtin_schedule_scenarios()
-    if args.scenario not in scenarios:
-        print(f"unknown scenario {args.scenario!r}; choose from: "
-              f"{', '.join(sorted(scenarios))}", file=sys.stderr)
-        return 2
-    cfg = builtin_plan_configs().get(args.scenario, {})
-    scenario = scenarios[args.scenario]
-    plan = compile_scenario(args.scenario, scenario, **cfg)
-
-    doc = {"plan": plan.summary()}
-    if args.execute:
-        run = PlanDriver().execute(plan)
-        doc["replay"] = {
-            "steps_executed": run.steps_executed,
-            "events_replayed": run.events_replayed,
-            "checksum": run.checksum,
-            "matches_plan": run.checksum == plan.expected_checksum,
-        }
-    if args.validate:
-        findings = lint_execution_plan(plan)
-        findings.extend(translation_validate(plan, scenario))
-        doc["findings"] = [f.render() for f in findings]
-        doc["valid"] = not findings
-
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for key, value in doc["plan"].items():
-            print(f"{key:>20}: {value}")
-        if "replay" in doc:
-            print("replay:")
-            for key, value in doc["replay"].items():
-                print(f"{key:>20}: {value}")
-        if "findings" in doc:
-            for line in doc["findings"]:
-                print(line)
-            print(f"plan valid: {doc['valid']}")
-    if args.validate and not doc.get("valid", True):
         return 1
     return 0
 
@@ -1115,9 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically check warp programs, pipeline schedules, sparse "
         "formats, deployment plans, recovery policies, the repo's own "
-        "source, the event-loop schedule, compiled execution plans and "
-        "integrity policies "
-        "(rules W*/P*/F*/M*/T*/K*/O*/D*/R*/A*/Q*/S*/H*/E*/C*, see "
+        "source, the event-loop schedule and integrity policies "
+        "(rules W*/P*/F*/M*/T*/K*/O*/D*/R*/A*/Q*/S*/H*/C*, see "
         "docs/ANALYSIS.md)",
     )
     p_lint.add_argument(
@@ -1165,14 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "it under a reversed same-time tie-break (H rules)",
     )
     p_lint.add_argument(
-        "--plans", action="store_true",
-        help="compile every builtin scenario into an execution plan, "
-        "statically validate it (buffer lifetimes, fusion legality, memo "
-        "soundness, budgets, ordering, barriers — E rules) and "
-        "translation-validate the compiled replay against a fresh "
-        "interpreted run (E008)",
-    )
-    p_lint.add_argument(
         "--integrity", action="store_true",
         help="sweep the builtin integrity policies (shipped ones clean, "
         "deliberately broken ones tripping their documented C rules), "
@@ -1189,24 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--verbose", action="store_true",
                         help="also print info-severity findings")
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_plan = sub.add_parser(
-        "plan",
-        help="compile a builtin scenario into a flat execution plan; "
-        "optionally replay it through the tight driver and run the "
-        "E-family validator on the result",
-    )
-    p_plan.add_argument("--scenario", required=True,
-                        help="builtin scenario name (see lint --schedule)")
-    p_plan.add_argument("--execute", action="store_true",
-                        help="replay the compiled plan and check its "
-                        "trace checksum against the compile-time run")
-    p_plan.add_argument("--validate", action="store_true",
-                        help="run E001-E008 on the compiled plan "
-                        "(exit 1 on findings)")
-    p_plan.add_argument("--json", action="store_true",
-                        help="emit summary/replay/findings as JSON")
-    p_plan.set_defaults(func=_cmd_plan)
 
     p_models = sub.add_parser("models", help="list the model zoo")
     p_models.set_defaults(func=_cmd_models)

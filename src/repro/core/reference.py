@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .tca_bme import TCABMEMatrix
+from .tca_bme import TCABMEMatrix, require_2d
 from .tiles import DEFAULT_TILE_CONFIG, TileConfig
 
 __all__ = ["encode_reference"]
@@ -47,13 +47,8 @@ def encode_reference(
     a GroupTile; BitmapTiles column-major (Ra-register order) in a
     TCTile; bits row-major in a BitmapTile.
     """
-    dense = np.asarray(dense)
-    if dense.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
-    m, k = dense.shape
-    if m == 0 or k == 0:
-        raise ValueError("matrix must be non-empty")
-    dense16 = dense.astype(np.float16, copy=False)
+    dense16 = require_2d(dense)
+    m, k = dense16.shape
 
     pm, pk = config.padded_shape(m, k)
     padded = np.zeros((pm, pk), dtype=np.float16)

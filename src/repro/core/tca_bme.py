@@ -35,10 +35,43 @@ import numpy as np
 from .bitmap import expand_bitmap_rows, pack_bitmap_rows
 from .tiles import DEFAULT_TILE_CONFIG, TileConfig
 
-__all__ = ["TCABMEMatrix", "encode", "tca_bme_storage_bytes"]
+__all__ = ["TCABMEMatrix", "encode", "require_2d", "tca_bme_storage_bytes"]
 
 #: Elements per 8-byte LDGSTS alignment boundary (FP16 values).
 _ALIGN_ELEMS = 4
+
+#: Largest finite FP16 magnitude.
+FP16_MAX = float(np.finfo(np.float16).max)
+
+
+def require_2d(dense: np.ndarray) -> np.ndarray:
+    """Validate and normalise an input matrix to float16.
+
+    Every encoder stores FP16 values, so an element that is NaN, ±inf or
+    outside ``[-65504, 65504]`` would be stored as inf/NaN; it is
+    rejected with a ``ValueError`` naming the first such ``(row, col)``
+    in row-major order.
+    """
+    dense = np.asarray(dense)
+    if dense.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
+    if dense.shape[0] == 0 or dense.shape[1] == 0:
+        raise ValueError("matrix must be non-empty")
+    if dense.dtype == np.float16:
+        # Only inf/NaN are possible: an all-ones exponent.  numpy has no
+        # fast fp16 reductions, so test the bits as integers.
+        ok = (dense.view(np.uint16) & np.uint16(0x7FFF)).max() < 0x7C00
+    else:
+        # max/min propagate NaN, so one pair of reductions covers it.
+        ok = dense.max() <= FP16_MAX and dense.min() >= -FP16_MAX
+    if not ok:
+        bad = ~(np.abs(dense.astype(np.float64)) <= FP16_MAX)
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"element ({row}, {col}) = {float(dense[row, col])} is not a "
+            f"finite fp16 value (|w| <= {FP16_MAX:g})"
+        )
+    return dense.astype(np.float16, copy=False)
 
 
 def _storage_order_view(padded: np.ndarray, config: TileConfig) -> np.ndarray:
@@ -280,13 +313,8 @@ def encode(
     to :meth:`TCABMEMatrix.to_dense` and contributes no values (only bitmap
     and offset entries, exactly as on the GPU).
     """
-    dense = np.asarray(dense)
-    if dense.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
-    m, k = dense.shape
-    if m == 0 or k == 0:
-        raise ValueError("matrix must be non-empty")
-    dense16 = dense.astype(np.float16, copy=False)
+    dense16 = require_2d(dense)
+    m, k = dense16.shape
 
     pm, pk = config.padded_shape(m, k)
     if (pm, pk) != (m, k):

@@ -21,6 +21,8 @@ from typing import Tuple
 
 import numpy as np
 
+from ..core.tca_bme import require_2d
+
 __all__ = ["SparseFormat", "dense_bytes", "require_2d"]
 
 #: Bytes per dense FP16 element.
@@ -30,16 +32,6 @@ FP16_BYTES = 2
 def dense_bytes(m: int, k: int) -> int:
     """Size of the dense FP16 matrix — numerator of Eq. 1."""
     return FP16_BYTES * m * k
-
-
-def require_2d(dense: np.ndarray) -> np.ndarray:
-    """Validate and normalise an input matrix to float16."""
-    dense = np.asarray(dense)
-    if dense.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
-    if dense.shape[0] == 0 or dense.shape[1] == 0:
-        raise ValueError("matrix must be non-empty")
-    return dense.astype(np.float16, copy=False)
 
 
 class SparseFormat(abc.ABC):

@@ -20,6 +20,8 @@ without import cycles.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -75,7 +77,9 @@ def verify_output(
 ) -> float:
     """Run the ABFT column-sum check; returns the observed gap.
 
-    Raises :class:`IntegrityError` when the gap exceeds
+    Fails closed: a non-finite gap (a NaN or ±inf anywhere in the
+    output, the activation or the checksum row) raises
+    :class:`IntegrityError`, as does a gap that exceeds
     ``atol + rtol * scale``, where ``scale`` is the absolute magnitude
     flowing into each column sum (``|c| @ |X|``) — the quantity FP32
     accumulation noise actually scales with.  Measured clean gaps sit
@@ -90,6 +94,11 @@ def verify_output(
     if expected.size == 0:
         return 0.0
     gap = float(np.max(np.abs(colsum - expected)))
+    if not math.isfinite(gap):
+        raise IntegrityError(
+            f"ABFT check in {where}: non-finite output or activation "
+            f"(column-sum gap {gap}) — refusing to return the product"
+        )
     scale = float(max(np.max(np.abs(c) @ np.abs(xq)), 1.0))
     if gap > atol + rtol * scale:
         raise IntegrityError(

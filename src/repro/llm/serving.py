@@ -47,6 +47,7 @@ __all__ = [
     "ServingSimulator",
     "compare_frameworks",
     "mixed_workload",
+    "nearest_rank_percentile",
     "poisson_workload",
 ]
 
@@ -54,6 +55,20 @@ __all__ = [
 #: SessionRequest` (one home for the whole lifecycle, session-aware);
 #: ``Request`` stays as the serving-layer name for it.
 Request = SessionRequest
+
+
+def nearest_rank_percentile(values: Sequence[float], pct: float) -> float:
+    """Nearest-rank percentile: the ``ceil(pct/100 * n)``-th smallest
+    value, so p50 of a small sample is a real median-ish value rather
+    than the truncation-index overshoot.  Raises ``ValueError`` on an
+    empty sample or a ``pct`` outside ``[0, 100]``."""
+    if not values:
+        raise ValueError("percentile of an empty sample")
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {pct}")
+    ordered = sorted(values)
+    rank = math.ceil(pct / 100.0 * len(ordered))
+    return ordered[max(0, rank - 1)]
 
 
 def poisson_workload(
@@ -168,16 +183,9 @@ class ServingStats:
         return total / self.makespan_s if self.makespan_s > 0 else 0.0
 
     def _percentile(self, values: List[float], pct: float) -> float:
-        """Nearest-rank percentile: the ``ceil(pct/100 * n)``-th smallest
-        value, so p50 of a small sample is a real median-ish value
-        rather than the truncation-index overshoot."""
         if not values:
             raise ValueError("no completed requests")
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        ordered = sorted(values)
-        rank = math.ceil(pct / 100.0 * len(ordered))
-        return ordered[max(0, rank - 1)]
+        return nearest_rank_percentile(values, pct)
 
     def latency_percentile(self, pct: float) -> float:
         return self._percentile([r.latency_s for r in self.completed], pct)

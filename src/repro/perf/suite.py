@@ -10,12 +10,7 @@ Two suites cover the reproduction's hot paths:
 
 ``runtime`` (written to ``BENCH_runtime.json``)
     Discrete-event serving scheduler throughput: FCFS blocking prefill,
-    chunked prefill with preemption at a tight KV budget, and SJF —
-    plus the compiled-plan path: lowering a scenario to a flat
-    :class:`~repro.plan.ir.ExecutionPlan` (``plan_compile``) and
-    replaying it through the tight driver (``plan_execute``), the
-    latter being the ``>=5x over interpreted`` claim the regression
-    gate protects.
+    chunked prefill with preemption at a tight KV budget, and SJF.
 
 Every case record carries ``suite, case, shape, sparsity, median_s,
 mad_s, repeats, checksum, bit_exact``.  Output is deterministic across
@@ -290,102 +285,6 @@ def _case_scheduler_sjf(shape, _sparsity, seed):
     return _serving_case(shape, seed, max_batch=8, policy="sjf")
 
 
-# ---- compiled-plan case builders -------------------------------------------------
-#
-# Three views of the same serving scenario: the interpreted event loop
-# (the baseline the plan compiler amortises away), the lowering pass
-# itself, and the tight-driver replay.  All share one workload shape so
-# plan_interpreted / plan_execute medians divide into the speedup the
-# regression harness tracks.
-
-
-def _plan_scenario(shape, seed):
-    requests, prompt_len, output_len = shape
-
-    def scenario(loop, recorder=None):
-        from ..llm.serving import (
-            ServingConfig,
-            ServingSimulator,
-            poisson_workload,
-        )
-
-        cfg = ServingConfig(
-            model="opt-13b",
-            framework="spinfer",
-            gpu="RTX4090",
-            max_batch=8,
-            policy="fcfs",
-            sparsity=_SPARSITY,
-        )
-        sched = ServingSimulator(cfg).build_scheduler()
-        if recorder is not None:
-            recorder.set_trace(sched.trace)
-        workload = poisson_workload(
-            requests,
-            arrival_rate=4.0,
-            prompt_len=prompt_len,
-            output_len=output_len,
-            seed=seed,
-        )
-        return sched.run(workload, loop=loop)
-
-    return scenario
-
-
-def _case_plan_interpreted(shape, _sparsity, seed):
-    from ..plan.ir import trace_checksum
-    from ..runtime.core import EventLoop
-
-    scenario = _plan_scenario(shape, seed)
-
-    def thunk():
-        return scenario(EventLoop(), None)
-
-    def checksum(stats):
-        return checksum_ints(int(trace_checksum(stats.trace), 16))
-
-    return thunk, checksum
-
-
-def _case_plan_compile(shape, _sparsity, seed):
-    from ..plan import compile_scenario
-
-    scenario = _plan_scenario(shape, seed)
-
-    def thunk():
-        return compile_scenario(
-            "bench-serving", scenario, admission="on-demand"
-        )
-
-    def checksum(plan):
-        return checksum_ints(
-            int(plan.expected_checksum, 16), len(plan.steps), plan.num_events
-        )
-
-    return thunk, checksum
-
-
-def _case_plan_execute(shape, _sparsity, seed):
-    from ..plan import compile_scenario
-    from ..runtime.plan_driver import PlanDriver
-
-    scenario = _plan_scenario(shape, seed)
-    # Lowering happens once, outside the timed region — the whole point
-    # of plan-once/execute-many.
-    plan = compile_scenario("bench-serving", scenario, admission="on-demand")
-    driver = PlanDriver()
-
-    def thunk():
-        return driver.execute(plan)
-
-    def checksum(run):
-        return checksum_ints(
-            int(run.checksum, 16), run.steps_executed, run.events_replayed
-        )
-
-    return thunk, checksum
-
-
 _RUNTIME_FULL_SHAPE = (64, 96, 128)
 _RUNTIME_QUICK_SHAPE = (16, 64, 64)
 
@@ -434,16 +333,6 @@ _RUNTIME_CASES: Dict[str, Tuple[CaseBuilder, tuple, tuple, bool]] = {
     ),
     "scheduler_sjf": (
         _case_scheduler_sjf, _RUNTIME_FULL_SHAPE, _RUNTIME_QUICK_SHAPE, True,
-    ),
-    "plan_interpreted": (
-        _case_plan_interpreted, _RUNTIME_FULL_SHAPE, _RUNTIME_QUICK_SHAPE,
-        True,
-    ),
-    "plan_compile": (
-        _case_plan_compile, _RUNTIME_FULL_SHAPE, _RUNTIME_QUICK_SHAPE, True,
-    ),
-    "plan_execute": (
-        _case_plan_execute, _RUNTIME_FULL_SHAPE, _RUNTIME_QUICK_SHAPE, True,
     ),
 }
 

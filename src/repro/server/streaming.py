@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..llm.serving import ServingConfig, ServingSimulator
+from ..llm.serving import (
+    ServingConfig,
+    ServingSimulator,
+    nearest_rank_percentile,
+)
 from ..runtime import (
     FaultPlan,
     FaultTolerantRuntime,
@@ -296,12 +299,8 @@ def run_server(
 
 
 def _percentile(values: List[float], pct: float) -> float:
-    """Nearest-rank percentile (the serving layer's convention)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = math.ceil(pct / 100.0 * len(ordered))
-    return ordered[max(0, rank - 1)]
+    """Nearest-rank percentile, ``0.0`` for an empty sample."""
+    return nearest_rank_percentile(values, pct) if values else 0.0
 
 
 def _ttfts(stats: RuntimeStats) -> List[float]:

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.analysis import (
+    FAMILIES,
     RULES,
     Finding,
     Report,
     Severity,
     check_all_builtin_programs,
+    ensure_all_registered,
+    rule_table,
 )
 from repro.cli import main
 
@@ -30,13 +33,29 @@ class TestFindings:
             "A001", "A002", "A003", "A004", "A005",
             "S001", "S002", "S003", "S004", "S005", "S006",
             "H001", "H002", "H003", "H004", "H005",
-            "E001", "E002", "E003", "E004", "E005", "E006", "E007",
-            "E008",
         }
-        from repro.analysis import ensure_all_registered
-
         ensure_all_registered()
         assert expected == set(RULES)
+
+    def test_every_family_has_a_gate_and_rules(self):
+        ensure_all_registered()
+        assert set(FAMILIES) == {
+            "W", "P", "F", "M", "T", "K", "O", "D", "R", "C", "Q", "S",
+            "H", "A",
+        }
+        for fam in FAMILIES.values():
+            assert fam.gate.startswith("--")
+            assert fam.rule_ids
+            for rid in fam.rule_ids:
+                assert rid in RULES
+
+    def test_rule_table_covers_all_rules(self):
+        ensure_all_registered()
+        rows = rule_table()
+        assert [r["rule_id"] for r in rows] == sorted(RULES)
+        for row in rows:
+            assert row["family"] == row["rule_id"][0]
+            assert row["gate"]
 
     def test_unregistered_rule_rejected(self):
         with pytest.raises(KeyError):
@@ -96,6 +115,12 @@ class TestLintCommand:
         rc = main(["lint", "--verbose"])
         assert rc == 0
         assert "object(s)" in capsys.readouterr().out
+
+    def test_list_rules(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for rid in ("W001", "H005", "S006", "C005"):
+            assert rid in out
 
     def test_lint_failure_exit_code(self, capsys, monkeypatch):
         import repro.cli as cli_mod

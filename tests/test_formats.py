@@ -127,6 +127,13 @@ class TestTiledCSL:
                 np.zeros((8, 8), np.float16), tile_shape=(512, 512)
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 65505.0])
+    def test_rejects_values_outside_fp16(self, value):
+        w = np.ones((70, 90), dtype=np.float32)
+        w[66, 81] = value
+        with pytest.raises(ValueError, match=r"\(66, 81\)"):
+            TiledCSLMatrix.from_dense(w)
+
     def test_custom_tile_shape(self):
         w = random_sparse(96, 48, 0.5, seed=5)
         t = TiledCSLMatrix.from_dense(w, tile_shape=(32, 16))

@@ -62,6 +62,15 @@ class TestABFT:
         with pytest.raises(IntegrityError):
             verify_output(y, x, c)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_caught(self, value):
+        w, x = random_problem(128, 96, 16, seed=2)
+        c = weight_checksum(w)
+        y = w.astype(np.float32) @ x.astype(np.float32)
+        y[13, 5] = value
+        with pytest.raises(IntegrityError, match="non-finite"):
+            verify_output(y, x, c)
+
     def test_cost_model(self):
         m, k, n = 4096, 4096, 16
         assert verification_flops(m, k, n) == 2 * k * n + m * n
@@ -123,6 +132,35 @@ class TestKernelVerify:
         out = kernel.run_encoded(enc, x, verify=False)
         ref = w.astype(np.float32) @ x.astype(np.float32)
         assert not np.allclose(out, ref, rtol=1e-3, atol=1e-3)
+
+    def test_spinfer_nan_output_fails_closed(self, monkeypatch):
+        # A decode fault that leaves the stored (digested) data intact
+        # but puts a NaN into one decoded weight — and so into Y.
+        import repro.kernels.spinfer as spinfer_mod
+
+        real_decode = spinfer_mod.decode_matrix
+
+        def nan_decode(*args, **kwargs):
+            tiles, stats = real_decode(*args, **kwargs)
+            tiles = tiles.copy()
+            tiles.reshape(-1)[0] = np.nan
+            return tiles, stats
+
+        monkeypatch.setattr(spinfer_mod, "decode_matrix", nan_decode)
+        w, x = random_problem(64, 64, 8, seed=10)
+        kernel = make_kernel("spinfer")
+        enc = encode(w, kernel.tile_config).seal()
+        assert np.isnan(kernel.run_encoded(enc, x)).any()
+        with pytest.raises(IntegrityError, match="non-finite"):
+            kernel.run_encoded(enc, x, verify=True)
+
+    def test_spinfer_nan_activation_fails_closed(self):
+        w, x = random_problem(64, 64, 8, seed=11)
+        x[3, 2] = np.nan
+        kernel = make_kernel("spinfer")
+        enc = encode(w, kernel.tile_config).seal()
+        with pytest.raises(IntegrityError, match="non-finite"):
+            kernel.run_encoded(enc, x, verify=True)
 
     def test_flash_llm_catches_weight_corruption(self):
         w, x = random_problem(64, 64, 8, seed=9)

@@ -83,7 +83,6 @@ class TestSuite:
         } <= kernel_cases
         assert {r["case"] for r in runtime_records} == {
             "scheduler_fcfs", "scheduler_chunked_preemption", "scheduler_sjf",
-            "plan_interpreted", "plan_compile", "plan_execute",
         }
 
     def test_checksums_are_deterministic(self, kernel_records):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmap import popcount64
+from repro.core.reference import encode_reference
 from repro.core.tca_bme import (
     TCABMEMatrix,
     encode,
@@ -19,6 +20,35 @@ def random_sparse(m, k, sparsity, seed=0):
     w = rng.standard_normal((m, k)).astype(np.float16)
     w[rng.random((m, k)) < sparsity] = 0
     return w
+
+
+class TestFp16Range:
+    """Weights that fp16 cannot hold are rejected, not cast to inf/NaN."""
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 65505.0, -70000.0, 1e30]
+    )
+    @pytest.mark.parametrize("encoder", [encode, encode_reference])
+    def test_rejects_and_names_first_bad_element(self, encoder, value):
+        w = np.ones((40, 72), dtype=np.float64)
+        w[17, 33] = value
+        w[30, 5] = value
+        with pytest.raises(ValueError, match=r"\(17, 33\)"):
+            encoder(w)
+
+    def test_fp16_nan_input_rejected(self):
+        w = np.zeros((16, 16), dtype=np.float16)
+        w[0, 3] = np.nan
+        with pytest.raises(ValueError, match=r"\(0, 3\)"):
+            encode(w)
+
+    def test_range_edges_round_trip(self):
+        w = np.zeros((64, 64), dtype=np.float32)
+        w[0, 0], w[1, 1] = 65504.0, -65504.0
+        w[2, 2] = -0.0
+        w[3, 3] = 2.0**-24  # smallest fp16 subnormal
+        enc = encode(w)
+        assert np.array_equal(enc.to_dense(), w.astype(np.float16))
 
 
 class TestRoundTrip:
