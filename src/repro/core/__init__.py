@@ -9,6 +9,7 @@ Public surface:
   Decoding into ``mma`` register fragments.
 * :mod:`repro.core.bitmap` — PopCount / MaskedPopCount primitives.
 * :mod:`repro.core.mma_layout` — the ``mma.m16n8k16`` fragment maps.
+* :func:`repro.core.fp16.widen_fp16` — exact table-driven FP16 -> FP32.
 """
 
 from .bitmap import (
@@ -18,6 +19,7 @@ from .bitmap import (
     popcount64,
 )
 from .bitset_ops import mask_columns, pattern_density_per_tile, pattern_overlap
+from .fp16 import widen_fp16
 from .mma_layout import (
     gather_a_fragments,
     gather_b_fragments,
@@ -57,4 +59,5 @@ __all__ = [
     "scatter_a_fragments",
     "scatter_cd_fragments",
     "tca_bme_storage_bytes",
+    "widen_fp16",
 ]

@@ -37,11 +37,13 @@ vectorised production paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .bitmap import expand_bitmap_rows, masked_popcount, popcount64
+from .fp16 import widen_fp16
 from .mma_layout import WARP_SIZE
 from .tiles import DEFAULT_TILE_CONFIG, TileConfig
 
@@ -245,22 +247,56 @@ def decode_group_frags(
     return np.ascontiguousarray(frags), _closed_form_stats(nbt, int(flat.sum()))
 
 
+#: Bitmaps :func:`decode_matrix` expands per pass (64 default GroupTiles),
+#: which bounds its int64 position temporaries to 2 MB (all bits set).
+_DECODE_CHUNK_BITMAPS = 4096
+
+
+@lru_cache(maxsize=8)
+def _storage_to_dense_delta(config: TileConfig) -> np.ndarray:
+    """Per-bit shift from a GroupTile's storage order to row-major order.
+
+    Bit ``s`` of a GroupTile's bitmap stream (bit ``s % 64`` of its
+    BitmapTile ``s // 64``, TCTiles and BitmapTiles column-major) marks
+    the value at row-major offset ``s + delta[s]`` of the dense
+    ``(gt_h, gt_w)`` tile.
+    """
+    c = config
+    tr, tc = c.gt_h // c.tt_h, c.gt_w // c.tt_w
+    br, bc = c.tt_h // c.bt_h, c.tt_w // c.bt_w
+    g = c.gt_h * c.gt_w
+    storage = np.arange(g).reshape(tc, tr, bc, br, c.bt_h, c.bt_w)
+    # -> (tr, br, bit_row, tc, bc, bit_col): storage index per dense offset
+    dense_to_storage = storage.transpose(1, 3, 4, 0, 2, 5).reshape(g)
+    delta = np.empty(g, dtype=np.int64)
+    delta[dense_to_storage] = np.arange(g) - dense_to_storage
+    delta.setflags(write=False)
+    return delta
+
+
 def decode_matrix(
     bitmaps: np.ndarray,
     values: np.ndarray,
     m: int,
     k: int,
     config: TileConfig = DEFAULT_TILE_CONFIG,
+    dtype=np.float16,
 ) -> Tuple[np.ndarray, DecodeStats]:
     """Batched SMBD decode of every GroupTile of an encoded matrix.
 
-    Returns ``(GR, GC, gt_h, gt_w)`` float16 dense GroupTiles — the same
-    tiles :func:`decode_group_fast` yields one at a time — via a single
-    boolean scatter and one reshape/transpose, with no Python loop over
-    the ``iter_group_tiles`` walk.  ``GR x GC`` is the GroupTile grid of
-    the padded matrix.
+    Returns ``(GR, GC, gt_h, gt_w)`` dense GroupTiles of ``dtype`` — the
+    same tiles :func:`decode_group_fast` yields one at a time, widened
+    exactly when ``dtype`` is float32 — with no Python loop over the
+    ``iter_group_tiles`` walk.  ``GR x GC`` is the GroupTile grid of the
+    padded matrix.
+
+    Each set bit's storage position ``s`` maps to its dense offset
+    through one cached per-config table, so the values land in their
+    final layout in a single integer-position scatter: no boolean mask
+    scatter, no transpose copy and no separate cast.
     """
-    bitmaps = np.asarray(bitmaps, dtype=np.uint64)
+    bitmaps = np.asarray(bitmaps, dtype=np.uint64).reshape(-1)
+    values = np.asarray(values, dtype=np.float16).reshape(-1)
     c = config
     gr, gc = c.group_grid(m, k)
     if bitmaps.size != gr * gc * c.bts_per_gt:
@@ -268,14 +304,24 @@ def decode_matrix(
             f"expected {gr * gc * c.bts_per_gt} bitmaps for a "
             f"{m}x{k} matrix, got {bitmaps.size}"
         )
-    mask = expand_bitmap_rows(bitmaps)  # (NBT, 64) in storage order
-    rows = np.zeros(mask.shape, dtype=np.float16)
-    rows[mask] = np.asarray(values, dtype=np.float16)
-
-    tr, tc = c.gt_h // c.tt_h, c.gt_w // c.tt_w
-    br, bc = c.tt_h // c.bt_h, c.tt_w // c.bt_w
-    x = rows.reshape(gr, gc, tc, tr, bc, br, c.bt_h, c.bt_w)
-    # -> (GR, GC, tr, br, bit_row, tc, bc, bit_col)
-    x = x.transpose(0, 1, 3, 5, 6, 2, 4, 7)
-    tiles = x.reshape(gr, gc, c.gt_h, c.gt_w)
-    return tiles, _closed_form_stats(int(bitmaps.size), int(mask.sum()))
+    g = c.gt_h * c.gt_w
+    delta = _storage_to_dense_delta(c)
+    # Whole GroupTiles per pass, so chunk-local positions stay aligned.
+    step = max(1, _DECODE_CHUNK_BITMAPS // c.bts_per_gt) * c.bts_per_gt
+    tiles = np.zeros((gr, gc, c.gt_h, c.gt_w), dtype=dtype)
+    flat = tiles.reshape(-1)
+    # The table widens exactly and costs less than a cast in the scatter.
+    widen = widen_fp16 if tiles.dtype == np.float32 else np.asarray
+    nnz = 0
+    for start in range(0, bitmaps.size, step):
+        s = np.flatnonzero(expand_bitmap_rows(bitmaps[start : start + step]))
+        low = s & (g - 1) if g & (g - 1) == 0 else s % g  # s mod G
+        s += np.take(delta, low)
+        bits = 64 * start
+        flat[bits : bits + 64 * step][s] = widen(values[nnz : nnz + s.size])
+        nnz += s.size
+    if nnz != values.size:
+        raise ValueError(
+            f"bitmaps mark {nnz} non-zeros but {values.size} values were given"
+        )
+    return tiles, _closed_form_stats(int(bitmaps.size), nnz)

@@ -87,19 +87,17 @@ def verify_output(
     stored FP16 weight lands near ``1e-4 * scale``, so ``rtol=1e-6``
     splits them with two orders of magnitude on either side.
     """
-    xq = np.asarray(x, dtype=np.float16).astype(np.float64)
-    c = np.asarray(checksum_row, dtype=np.float64)
-    expected = c @ xq
-    colsum = np.asarray(y, dtype=np.float64).sum(axis=0)
-    if expected.size == 0:
-        return 0.0
-    gap = float(np.max(np.abs(colsum - expected)))
+    gap = output_colsum_gap(y, x, checksum_row)
     if not math.isfinite(gap):
         raise IntegrityError(
             f"ABFT check in {where}: non-finite output or activation "
             f"(column-sum gap {gap}) — refusing to return the product"
         )
-    scale = float(max(np.max(np.abs(c) @ np.abs(xq)), 1.0))
+    xq = np.asarray(x, dtype=np.float16).astype(np.float64)
+    magnitude = np.abs(np.asarray(checksum_row, dtype=np.float64)) @ np.abs(xq)
+    if magnitude.size == 0:
+        return gap
+    scale = float(max(np.max(magnitude), 1.0))
     if gap > atol + rtol * scale:
         raise IntegrityError(
             f"ABFT checksum mismatch in {where}: output column sums "

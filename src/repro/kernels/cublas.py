@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.fp16 import widen_fp16
 from ..gpu.simulator import Traffic, Work
 from .base import SpMMKernel, SpMMProblem
 
@@ -26,7 +27,7 @@ class CuBLASKernel(SpMMKernel):
         w16 = np.asarray(w_dense, dtype=np.float16)
         x16 = np.asarray(x, dtype=np.float16)
         # FP16 multiplicands, FP32 accumulate — the mma contract.
-        return w16.astype(np.float32) @ x16.astype(np.float32)
+        return widen_fp16(w16) @ widen_fp16(x16)
 
     def _traffic(self, problem: SpMMProblem) -> Traffic:
         return Traffic(

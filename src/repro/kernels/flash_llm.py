@@ -55,14 +55,21 @@ class FlashLLMKernel(SpMMKernel):
         x32, _pk = self._padded_activation(w, x)
         n = x32.shape[1]
 
+        # A flat index cannot catch a location past its tile's end (it
+        # would land in the next tile), so reject one up front.
+        if w.locations.size and int(w.locations.max()) >= th * tw:
+            raise ValueError(
+                f"Tiled-CSL location {int(w.locations.max())} lies outside "
+                f"its {th}x{tw} tile"
+            )
         tiles = np.zeros((rows * cols, th * tw), dtype=np.float32)
-        tile_ids = np.repeat(
-            np.arange(rows * cols, dtype=np.int64),
+        # One flat int64 position per non-zero: tile start + location.
+        pos = np.repeat(
+            np.arange(0, rows * cols * th * tw, th * tw, dtype=np.int64),
             np.diff(w.tile_offsets.astype(np.int64)),
         )
-        tiles[tile_ids, w.locations.astype(np.int64)] = w.values.astype(
-            np.float32
-        )
+        pos += w.locations
+        tiles.reshape(-1)[pos] = w.values
         # (rows, cols, th, tw) @ (cols, tw, n) -> (rows, cols, th, n); the
         # 2-D slices are the same sgemms the reference loop issues.
         partial = tiles.reshape(rows, cols, th, tw) @ x32.reshape(cols, tw, n)

@@ -36,6 +36,12 @@ from .base import SpMMKernel, SpMMProblem
 
 __all__ = ["SpInferKernel"]
 
+#: GroupTiles decoded and multiplied per block of :meth:`run_encoded`
+#: (whole GroupTile rows, at least one): 512 KB of FP32 tiles with the
+#: default 64x64 GroupTile, so a block's decode temporaries and tiles
+#: stay in a core's cache until its matmul has read them.
+_BLOCK_GROUP_TILES = 32
+
 _VARIANTS = {
     "full": "spinfer",
     "no_smbd": "spinfer_no_smbd",
@@ -74,11 +80,15 @@ class SpInferKernel(SpMMKernel):
     ) -> np.ndarray:
         """SpMM against a pre-encoded weight matrix (batched SMBD).
 
-        Every GroupTile is decoded in one batched scatter
-        (:func:`repro.core.smbd.decode_matrix`) and multiplied via one
-        stacked matmul; partial products are accumulated group-column by
-        group-column in storage order, so the result is bit-identical to
-        the per-GroupTile walk of :meth:`run_encoded_reference`.
+        GroupTiles are decoded straight into FP32 one block of whole
+        GroupTile rows at a time (:func:`repro.core.smbd.decode_matrix`)
+        and each block is multiplied while it is still in cache, as the
+        GPU kernel multiplies each decoded tile from shared memory: no
+        FP32 copy of the whole matrix is ever made.  Each GroupTile's
+        product is the same sgemm the reference loop issues, and partial
+        products are accumulated group-column by group-column in storage
+        order, so the result is bit-identical to the per-GroupTile walk of
+        :meth:`run_encoded_reference`.
 
         With ``verify=True`` the matrix must be sealed
         (:meth:`~repro.core.tca_bme.TCABMEMatrix.seal`): per-GroupTile
@@ -93,14 +103,30 @@ class SpInferKernel(SpMMKernel):
         cfg = w.config
         n = x32.shape[1]
         grows, gcols = cfg.group_grid(w.m, w.k)
-
-        tiles, stats = decode_matrix(w.bitmaps, w.values, w.m, w.k, cfg)
-        # (GR, GC, gt_h, gt_w) @ (GC, gt_w, n) -> (GR, GC, gt_h, n); each
-        # 2-D slice is the same sgemm the reference loop issues per group.
-        partial = tiles.astype(np.float32) @ x32.reshape(gcols, cfg.gt_w, n)
+        xs = x32.reshape(gcols, cfg.gt_w, n)
         out = np.zeros((grows, cfg.gt_h, n), dtype=np.float32)
-        for gc in range(gcols):  # in-order adds match the reference walk
-            out += partial[:, gc]
+        stats = DecodeStats()
+        step = max(1, _BLOCK_GROUP_TILES // gcols)  # GroupTile rows per block
+        bitmaps_per_row = gcols * cfg.bts_per_gt
+        for r0 in range(0, grows, step):
+            r1 = min(r0 + step, grows)
+            lo = int(w.gtile_offsets[r0 * gcols])
+            hi = int(w.gtile_offsets[r1 * gcols])
+            tiles, block_stats = decode_matrix(
+                w.bitmaps[r0 * bitmaps_per_row : r1 * bitmaps_per_row],
+                w.values[lo:hi],
+                (r1 - r0) * cfg.gt_h,
+                w.k,
+                cfg,
+                dtype=np.float32,
+            )
+            stats.merge(block_stats)
+            # (R, GC, gt_h, gt_w) @ (GC, gt_w, n) -> (R, GC, gt_h, n); each
+            # 2-D slice is the same sgemm the reference loop issues per group.
+            partial = tiles @ xs
+            acc = out[r0:r1]
+            for gc in range(gcols):  # in-order adds match the reference walk
+                acc += partial[:, gc]
         self.last_decode_stats = stats
         result = out.reshape(pm, n)[: w.m]
         if verify:

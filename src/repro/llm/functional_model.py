@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.fp16 import widen_fp16
 from ..core.tca_bme import encode
 from ..formats.tiled_csl import TiledCSLMatrix
 from ..kernels.flash_llm import FlashLLMKernel
@@ -110,7 +111,7 @@ class _Linear:
         if self.captured is not None:
             self.captured.append(np.asarray(x16, dtype=np.float32))
         if backend == "dense":
-            return x16.astype(np.float32) @ self.weight.astype(np.float32).T
+            return x16.astype(np.float32) @ widen_fp16(self.weight).T
         self._ensure_encoded(backend)
         enc, kernel = self._encoded[backend]
         # Kernels compute W (out,in) @ X (in, tokens).

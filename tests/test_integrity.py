@@ -27,6 +27,7 @@ from repro.integrity import (
     IntegrityPolicy,
     get_integrity_policy,
     integrity_report_json,
+    output_colsum_gap,
     run_integrity,
     verification_cost_frac,
     verification_flops,
@@ -53,6 +54,12 @@ class TestABFT:
         y = w.astype(np.float32) @ x.astype(np.float32)
         gap = verify_output(y, x, c)
         assert gap >= 0.0
+        assert gap == output_colsum_gap(y, x, c)
+
+    def test_empty_batch_passes(self):
+        w, x = random_problem(128, 96, 0, seed=1)
+        y = np.zeros((128, 0), dtype=np.float32)
+        assert verify_output(y, x, weight_checksum(w)) == 0.0
 
     def test_corrupted_output_caught(self):
         w, x = random_problem(128, 96, 16, seed=2)

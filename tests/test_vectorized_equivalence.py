@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmap import expand_bitmap_rows, pack_bitmap_rows
+from repro.core import widen_fp16
 from repro.core.reference import encode_reference
 from repro.core.smbd import (
+    _DECODE_CHUNK_BITMAPS,
     DecodeStats,
     decode_group,
     decode_group_fast,
@@ -23,9 +25,11 @@ from repro.core.smbd import (
     decode_matrix,
 )
 from repro.core.tca_bme import encode
+from repro.core.tiles import TileConfig
 from repro.formats.tiled_csl import TiledCSLMatrix
+from repro.gpu.accelerators import ACCELERATORS
 from repro.kernels.flash_llm import FlashLLMKernel
-from repro.kernels.spinfer import SpInferKernel
+from repro.kernels.spinfer import _BLOCK_GROUP_TILES, SpInferKernel
 
 
 def random_sparse(m, k, sparsity, seed=0):
@@ -42,6 +46,39 @@ def random_activation(k, n, seed=1):
 
 SHAPES = [(64, 64, 8), (128, 192, 16), (70, 90, 5), (256, 128, 3)]
 SPARSITIES = [0.3, 0.6, 0.9]
+
+#: FP16 edge values a pruned weight can hold: a subnormal, -0.0 (which
+#: the encoder drops like +0.0), the largest finite half, and a normal.
+EDGE_VALUES = np.array(
+    [6e-8, -3e-6, -0.0, 65504.0, -65504.0, 0.75], dtype=np.float16
+)
+
+
+def edge_weight(m, k, sparsity, seed, zero_first_group):
+    rng = np.random.default_rng(seed)
+    w = EDGE_VALUES[rng.integers(0, EDGE_VALUES.size, (m, k))]
+    normal = rng.random((m, k)) < 0.5
+    w[normal] = rng.standard_normal(int(normal.sum())).astype(np.float16)
+    w[rng.random((m, k)) < sparsity] = 0
+    if zero_first_group:
+        w[:64, :64] = 0
+    return w
+
+
+def bits32(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def decode_by_groups(enc):
+    """decode_matrix's (GR, GC, gt_h, gt_w) fp16 layout, one group at a time."""
+    cfg = enc.config
+    gr, gc = cfg.group_grid(enc.m, enc.k)
+    tiles = np.zeros((gr, gc, cfg.gt_h, cfg.gt_w), dtype=np.float16)
+    for g, (r, c) in enumerate(cfg.iter_group_tiles(enc.m, enc.k)):
+        tiles[r // cfg.gt_h, c // cfg.gt_w], _s = decode_group_fast(
+            enc.group_bitmaps(g), enc.group_values(g), cfg
+        )
+    return tiles
 
 
 class TestBitmapPacking:
@@ -92,6 +129,82 @@ class TestDecodeMatrix:
         with pytest.raises(ValueError):
             decode_matrix(enc.bitmaps[:-1], enc.values, 64, 64, enc.config)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rejects_wrong_value_count(self, extra):
+        enc = encode(random_sparse(64, 64, 0.5))
+        values = np.resize(enc.values, enc.values.size + extra)
+        with pytest.raises(ValueError):
+            decode_matrix(enc.bitmaps, values, 64, 64, enc.config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TileConfig(gt_h=48, gt_w=64),  # 3072 cells: not a power of two
+            TileConfig(gt_h=16, gt_w=16),
+            ACCELERATORS["intel-amx"].tile_config(),  # 4x16 BitmapTiles
+        ],
+        ids=["gt48x64", "gt16", "amx"],
+    )
+    def test_other_tile_configs(self, config):
+        enc = encode(random_sparse(100, 150, 0.6, seed=4), config)
+        tiles, _stats = decode_matrix(enc.bitmaps, enc.values, enc.m, enc.k, config)
+        np.testing.assert_array_equal(tiles, decode_by_groups(enc))
+        wide, _stats = decode_matrix(
+            enc.bitmaps, enc.values, enc.m, enc.k, config, dtype=np.float32
+        )
+        np.testing.assert_array_equal(bits32(wide), bits32(tiles.astype(np.float32)))
+
+    def test_chunk_boundary(self):
+        # More bitmaps than one decode pass, with a non-zero on the last
+        # bit of the first pass and on the first bit of the second.
+        groups = _DECODE_CHUNK_BITMAPS // 64  # default config: 64 per group
+        gcols = 8
+        m, k = 64 * (groups // gcols) + 30, 64 * gcols
+        w = random_sparse(m, k, 0.7, seed=21)
+        last_row = 64 * (groups // gcols) - 1  # group (groups-1) is (r, 7)
+        w[last_row, k - 1] = 1.5  # bottom-right cell: its last bitmap's bit 63
+        w[last_row + 1, 0] = -2.0  # top-left cell of the next group row
+        enc = encode(w)
+        assert enc.bitmaps.size > _DECODE_CHUNK_BITMAPS
+        assert int(enc.bitmaps[_DECODE_CHUNK_BITMAPS - 1]) >> 63 == 1
+        assert int(enc.bitmaps[_DECODE_CHUNK_BITMAPS]) & 1 == 1
+        tiles, stats = decode_matrix(enc.bitmaps, enc.values, m, k, enc.config)
+        np.testing.assert_array_equal(tiles, decode_by_groups(enc))
+        assert stats.values_decoded == enc.values.size
+        x = random_activation(k, 2, seed=22)
+        kern = SpInferKernel()
+        np.testing.assert_array_equal(
+            bits32(kern.run_encoded(enc, x)),
+            bits32(kern.run_encoded_reference(enc, x)),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.sampled_from([1, 2, 63, 64, 65, 100, 130]),
+        k=st.sampled_from([1, 7, 64, 65, 129]),
+        n=st.integers(min_value=1, max_value=5),
+        sparsity=st.floats(min_value=0.3, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=1000),
+        zero_first_group=st.booleans(),
+    )
+    def test_fp32_decode_and_spmm_property(
+        self, m, k, n, sparsity, seed, zero_first_group
+    ):
+        w = edge_weight(m, k, sparsity, seed, zero_first_group)
+        enc = encode(w)
+        tiles, stats = decode_matrix(enc.bitmaps, enc.values, m, k, enc.config)
+        wide, wide_stats = decode_matrix(
+            enc.bitmaps, enc.values, m, k, enc.config, dtype=np.float32
+        )
+        assert wide.dtype == np.float32 and wide_stats == stats
+        np.testing.assert_array_equal(bits32(wide), bits32(widen_fp16(tiles)))
+        x = random_activation(k, n, seed + 1)
+        kern = SpInferKernel()
+        np.testing.assert_array_equal(
+            bits32(kern.run_encoded(enc, x)),
+            bits32(kern.run_encoded_reference(enc, x)),
+        )
+
 
 class TestFragmentDecode:
     @pytest.mark.parametrize("sparsity", SPARSITIES)
@@ -138,6 +251,38 @@ class TestSpMMEquivalence:
         np.testing.assert_array_equal(fast, ref)
         assert fast_stats == kern.last_decode_stats
 
+    @pytest.mark.parametrize(
+        "m, k",
+        [
+            (64 * 9 + 5, 64 * 9 - 3),  # 9 GroupTile columns: blocks of 3 rows, last 1
+            (130, 64 * (_BLOCK_GROUP_TILES + 2) + 1),  # a row is more than a block
+        ],
+    )
+    def test_spinfer_blocks_bit_exact(self, monkeypatch, m, k):
+        import repro.kernels.spinfer as spinfer_mod
+
+        calls = []
+        real_decode = spinfer_mod.decode_matrix
+
+        def counting_decode(*args, **kwargs):
+            calls.append(args[2])  # rows decoded in this block
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(spinfer_mod, "decode_matrix", counting_decode)
+        w = random_sparse(m, k, 0.6, seed=m)
+        x = random_activation(k, 2, seed=k)
+        kern = SpInferKernel()
+        enc = encode(w)
+        fast = kern.run_encoded(enc, x)
+        fast_stats = kern.last_decode_stats
+        grows, gcols = enc.config.group_grid(m, k)
+        step = max(1, _BLOCK_GROUP_TILES // gcols)
+        assert len(calls) == -(-grows // step) > 1
+        assert sum(calls) == grows * enc.config.gt_h
+        ref = kern.run_encoded_reference(enc, x)
+        np.testing.assert_array_equal(bits32(fast), bits32(ref))
+        assert fast_stats == kern.last_decode_stats
+
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("sparsity", SPARSITIES)
     def test_flash_llm_bit_exact(self, shape, sparsity):
@@ -166,6 +311,24 @@ class TestSpMMEquivalence:
         np.testing.assert_array_equal(
             kern.run_encoded(enc, x), kern.run_encoded_reference(enc, x)
         )
+
+    def test_flash_llm_edge_values_bitwise(self):
+        w = edge_weight(100, 130, 0.6, seed=31, zero_first_group=True)
+        x = random_activation(130, 3, seed=32)
+        kern = FlashLLMKernel()
+        tcsl = TiledCSLMatrix.from_dense(w)
+        np.testing.assert_array_equal(
+            bits32(kern.run_encoded(tcsl, x)),
+            bits32(kern.run_encoded_reference(tcsl, x)),
+        )
+
+    def test_flash_llm_rejects_location_outside_tile(self):
+        tcsl = TiledCSLMatrix.from_dense(random_sparse(128, 128, 0.6, seed=33))
+        th, tw = tcsl.tile_shape
+        tcsl.locations = tcsl.locations.copy()
+        tcsl.locations[0] = th * tw  # would alias the next tile's cell 0
+        with pytest.raises(ValueError, match="outside"):
+            FlashLLMKernel().run_encoded(tcsl, random_activation(128, 2))
 
     @settings(max_examples=25, deadline=None)
     @given(
